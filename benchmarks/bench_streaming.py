@@ -12,10 +12,10 @@ run is also checked alarm-for-alarm against the baseline reports -- the
 speedup is only meaningful because the output is bit-identical (COMBINE
 linearity with integral update values).
 
-Where the speedup comes from: the serial session hashes and deduplicates
-every chunk as it arrives, while the sharded engine only buffers column
-views per chunk and does one batched sketch update plus one key dedup per
-shard at interval seal.  On multi-core hosts the thread backend adds real
+Where the speedup comes from: the serial session runs one fused UPDATE
+per chunk as it arrives (its key dedup already happens once per seal),
+while the sharded engine only buffers column views per chunk and does
+one batched sketch update per shard at interval seal.  On multi-core hosts the thread backend adds real
 parallelism on top (the stacked-hash kernels release the GIL); on a
 single core the deferred batching alone carries the win.  ``cpu_count``
 is recorded in the report so the two effects can be told apart.

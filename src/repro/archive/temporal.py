@@ -54,6 +54,7 @@ from repro.sketch.serialization import (
     schema_from_identity,
     schema_identity,
 )
+from repro.streams.intervals import interval_index
 
 _FORMAT = "temporal-archive"
 _VERSION = 1
@@ -238,8 +239,12 @@ class TemporalArchive:
         return {**self._stats, "spans": len(self._spans), "bytes": self.nbytes}
 
     def index_of(self, timestamp: float) -> int:
-        """Interval index containing ``timestamp`` (seconds, origin 0)."""
-        return int(np.floor(timestamp / self.interval_seconds))
+        """Interval index containing ``timestamp`` (seconds, origin 0).
+
+        Uses the canonical edges (:func:`~repro.streams.intervals.interval_index`),
+        so a timestamp maps to the interval the live session sealed it in.
+        """
+        return interval_index(timestamp, self.interval_seconds)
 
     def _schema_at(self, folds: int):
         while len(self._schemas) <= folds:

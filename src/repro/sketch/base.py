@@ -60,7 +60,7 @@ class SummaryConvention:
             raise ValueError(
                 f"values must have shape ({length},), got {arr.shape}"
             )
-        if len(arr) and not np.all(np.isfinite(arr)):
+        if len(arr) and not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ValueError(
                 f"updates must be finite; found {arr[bad]} at position {bad}"

@@ -31,7 +31,12 @@ class KeyScheme(abc.ABC):
 
     @abc.abstractmethod
     def extract(self, records: np.ndarray) -> np.ndarray:
-        """Return the uint64 key for every record."""
+        """Return the uint64 key for every record, as a new array.
+
+        Sessions keep the returned array until the interval seals, so it
+        must not be a view of ``records`` (a collector may reuse its
+        chunk buffer).
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

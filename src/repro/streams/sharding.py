@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
+from repro.streams.intervals import interval_runs
 from repro.streams.keys import (
     KeyScheme,
     ValueScheme,
@@ -133,8 +134,10 @@ def iter_interval_chunks(
 ) -> Iterator[np.ndarray]:
     """Yield time-sorted chunks that never straddle an interval boundary.
 
-    Splits first on analysis-interval boundaries (``timestamp //
-    interval_seconds``), then caps each piece at ``chunk_records`` rows.
+    Splits first on analysis-interval boundaries (the canonical edges of
+    :func:`~repro.streams.intervals.interval_runs`, the same ones
+    :func:`~repro.streams.intervals.slice_by_interval` uses), then caps
+    each piece at ``chunk_records`` rows.
     The concatenation of the yielded chunks is exactly ``records`` in
     time order, so feeding them to any session reproduces single-stream
     ingestion; the boundary guarantee means each chunk maps to exactly
@@ -149,15 +152,11 @@ def iter_interval_chunks(
     if not len(records):
         return
     timestamps = records["timestamp"]
-    if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
+    if len(records) > 1 and not (timestamps[1:] >= timestamps[:-1]).all():
         order = np.argsort(timestamps, kind="stable")
         records = records[order]
         timestamps = records["timestamp"]
-    indices = (timestamps // interval_seconds).astype(np.int64)
-    _, starts = np.unique(indices, return_index=True)
-    bounds = np.append(starts, len(records))
-    for b in range(len(bounds) - 1):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
+    for _, lo, hi in interval_runs(timestamps, interval_seconds):
         if chunk_records is None:
             yield records[lo:hi]
         else:
@@ -192,7 +191,7 @@ def iter_interval_columns(
     if not len(records):
         return
     timestamps = records["timestamp"]
-    if len(records) > 1 and not np.all(np.diff(timestamps) >= 0):
+    if len(records) > 1 and not (timestamps[1:] >= timestamps[:-1]).all():
         order = np.argsort(timestamps, kind="stable")
         records = records[order]
         timestamps = records["timestamp"]
@@ -206,13 +205,8 @@ def iter_interval_columns(
     values = np.ascontiguousarray(
         value_scheme.extract(records), dtype=np.float64
     )
-    indices = (timestamps // interval_seconds).astype(np.int64)
-    uniq, starts = np.unique(indices, return_index=True)
-    bounds = np.append(starts, len(records))
     duration = float(interval_seconds)
-    for b in range(len(bounds) - 1):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        index = int(uniq[b])
+    for index, lo, hi in interval_runs(timestamps, interval_seconds):
         if chunk_records is None:
             yield ColumnarBlock(
                 index=index, keys=keys[lo:hi], values=values[lo:hi],

@@ -11,6 +11,7 @@ from repro.detection.keysource import (
     collect_replay_keys,
     register_key_source,
     resolve_key_source,
+    unique_keys,
 )
 from repro.detection.threshold import alarm_threshold
 from repro.obs import PipelineRecorder
@@ -23,6 +24,32 @@ def error_sketch(rng):
     keys = rng.integers(0, 2**32, 3000, dtype=np.uint64)
     values = rng.normal(0, 50, 3000)
     return schema.from_items(keys, values)
+
+
+class TestUniqueKeys:
+    """The seal-time dedup must equal ``np.unique`` over the concatenation."""
+
+    @pytest.mark.parametrize(
+        "sizes", [[], [0], [1], [0, 0], [5], [64, 64, 1, 0, 63], [4000]]
+    )
+    def test_matches_np_unique(self, rng, sizes):
+        arrays = [
+            rng.integers(0, 50, n).astype(np.uint64) for n in sizes
+        ]
+        got = unique_keys(arrays)
+        want = (
+            np.unique(np.concatenate(arrays))
+            if arrays
+            else np.empty(0, np.uint64)
+        )
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    def test_inputs_untouched(self, rng):
+        arrays = [rng.integers(0, 2**63, 100, dtype=np.uint64)]
+        before = arrays[0].copy()
+        unique_keys(arrays)
+        assert np.array_equal(arrays[0], before)
 
 
 class TestCollectReplayKeys:
